@@ -50,12 +50,13 @@ lint:
 obs-smoke:
 	$(GO) run ./cmd/soapbench -obssmoke
 
-# Short fuzz pass over the three untrusted-input parsers. FUZZTIME=10s
+# Short fuzz pass over the untrusted-input parsers and the TCP framing. FUZZTIME=10s
 # keeps it CI-sized; raise it locally for a real hunt.
 fuzz-smoke:
 	$(GO) test ./internal/pbio -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xmlenc -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soap -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMuxFrame$$' -fuzztime $(FUZZTIME)
 
 # Measure the zero-allocation wire hot path (codec plans, pooled
 # buffers and value slabs, multiplexed TCP pool) with -benchmem

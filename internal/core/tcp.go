@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -175,12 +176,14 @@ func (l *TCPListener) serveConn(conn net.Conn) {
 		l.serveMux(conn)
 		return
 	}
-	l.serveLegacy(io.MultiReader(bytes.NewReader(first[:]), conn), conn)
+	l.serveLegacy(first[:], conn)
 }
 
-// serveLegacy is the one-exchange-at-a-time framed loop; r carries any
-// bytes the protocol sniff already consumed.
-func (l *TCPListener) serveLegacy(r io.Reader, conn net.Conn) {
+// serveLegacy is the one-exchange-at-a-time framed loop; sniffed holds
+// the bytes the protocol sniff already consumed.
+func (l *TCPListener) serveLegacy(sniffed []byte, conn net.Conn) {
+	r := bufio.NewReaderSize(io.MultiReader(bytes.NewReader(sniffed), conn), frameReadBuf)
+	fw := frameWriter{conn: conn}
 	for {
 		code, action, body, err := readTCPRequest(r)
 		if err != nil {
@@ -197,7 +200,7 @@ func (l *TCPListener) serveLegacy(r io.Reader, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		werr := writeTCPFrame(conn, respCode, respBody)
+		werr := fw.writeFrame(0, respCode, "", respBody)
 		bufpool.Put(respBody)
 		if werr != nil {
 			return
@@ -212,6 +215,7 @@ type TCPTransport struct {
 
 	mu   sync.Mutex
 	conn net.Conn
+	fw   frameWriter // writes on conn; reset at every dial
 }
 
 // NewTCPTransport returns a transport for the SOAP-bin TCP endpoint at
@@ -272,7 +276,9 @@ func (t *TCPTransport) RoundTrip(ctx context.Context, req *WireRequest) (*WireRe
 // from ctx, but the poller's timer can fire a hair before the context's
 // own timer flips Err() non-nil — without this, a raw "i/o timeout"
 // escapes as a retriable transport error when the call's budget is what
-// actually expired.
+// actually expired. Once the deadline has passed, ctx's timer is due, so
+// ctxTimeout waits for it: callers that then consult ctx.Err() (the
+// client turns it into a deadline fault) agree with the transport.
 func ctxTimeout(ctx context.Context, err error) error {
 	if ce := ctx.Err(); ce != nil {
 		return ce
@@ -280,7 +286,8 @@ func ctxTimeout(ctx context.Context, err error) error {
 	var nerr net.Error
 	if errors.As(err, &nerr) && nerr.Timeout() {
 		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-			return context.DeadlineExceeded
+			<-ctx.Done()
+			return ctx.Err()
 		}
 	}
 	return nil
@@ -303,6 +310,7 @@ func (t *TCPTransport) tryOnce(ctx context.Context, code byte, req *WireRequest)
 		}
 		tcpDials.Inc()
 		t.conn = conn
+		t.fw = frameWriter{conn: conn, request: true}
 	}
 	conn := t.conn
 	// Derive I/O deadlines from the context; clear any deadline a
@@ -330,7 +338,7 @@ func (t *TCPTransport) tryOnce(ctx context.Context, code byte, req *WireRequest)
 			<-watchDone
 		}()
 	}
-	if err := writeTCPRequest(conn, code, req.Action, req.Body); err != nil {
+	if err := t.fw.writeFrame(0, code, req.Action, req.Body); err != nil {
 		return nil, err
 	}
 	respCode, body, err := readTCPFrame(conn)
@@ -355,20 +363,70 @@ var (
 
 // Framing helpers. Requests embed the action; responses are bare frames.
 
-func writeTCPRequest(w io.Writer, code byte, action string, body []byte) error {
-	if len(action) > 0xFFFF {
-		return errors.New("core: action too long")
+// frameReadBuf sizes the per-connection read buffer of both TCP
+// protocols: a frame header and a small body arrive with one read, and a
+// body larger than the buffer is read straight into its payload.
+const frameReadBuf = 16 << 10
+
+// frameWriter sends whole frames on one connection, for both wire
+// protocols:
+//
+//	u32 BE frame length | [u64 BE id] | u8 wire code |
+//	[u16 BE action length | action] | body
+//
+// The id is present on a multiplexed connection, the action on requests.
+// Header and body go out as one net.Buffers write: a single writev on a
+// *net.TCPConn; on a wrapped conn (fault injection, netem) one Write per
+// slice, header first. The body is never copied and nothing is allocated
+// per frame. Not safe for concurrent use: callers serialize on their
+// connection's write lock.
+type frameWriter struct {
+	conn    net.Conn
+	mux     bool // frames carry a correlation id
+	request bool // frames carry an action
+
+	hdr      [64]byte // header scratch; a longer action spills to the heap
+	bufs     [2][]byte
+	vec      net.Buffers // a field, so WriteTo's receiver does not escape per frame
+	deadline time.Time   // write deadline currently set on conn; zero for none
+}
+
+// setDeadline sets conn's write deadline to d (zero clears it), calling
+// into the conn only when d differs from the one already set.
+func (w *frameWriter) setDeadline(d time.Time) error {
+	if d.Equal(w.deadline) {
+		return nil
 	}
-	n := 1 + 2 + len(action) + len(body)
-	hdr := make([]byte, 0, 7+len(action))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
-	hdr = append(hdr, code)
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(action)))
-	hdr = append(hdr, action...)
-	if _, err := w.Write(hdr); err != nil {
+	if err := w.conn.SetWriteDeadline(d); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
+	w.deadline = d
+	return nil
+}
+
+// writeFrame frames and writes one message. id is ignored on a legacy
+// connection and action on a response.
+func (w *frameWriter) writeFrame(id uint64, code byte, action string, body []byte) error {
+	h := append(w.hdr[:0], 0, 0, 0, 0)
+	if w.mux {
+		h = binary.BigEndian.AppendUint64(h, id)
+	}
+	h = append(h, code)
+	if w.request {
+		if len(action) > 0xFFFF {
+			return errors.New("core: action too long")
+		}
+		h = binary.BigEndian.AppendUint16(h, uint16(len(action)))
+		h = append(h, action...)
+	}
+	n := len(h) - 4 + len(body)
+	if n > maxTCPFrame {
+		return fmt.Errorf("core: frame exceeds %d byte limit", maxTCPFrame)
+	}
+	binary.BigEndian.PutUint32(h, uint32(n))
+	w.bufs = [2][]byte{h, body}
+	w.vec = w.bufs[:]
+	_, err := w.vec.WriteTo(w.conn)
 	return err
 }
 
@@ -388,17 +446,6 @@ func readTCPRequest(r io.Reader) (code byte, action string, body []byte, err err
 	return code, string(payload[:n]), payload[n:], nil
 }
 
-func writeTCPFrame(w io.Writer, code byte, body []byte) error {
-	hdr := make([]byte, 5)
-	binary.BigEndian.PutUint32(hdr, uint32(len(body)+1))
-	hdr[4] = code
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
 // readTCPFrame reads one frame into a pooled buffer; the returned body
 // (and hence its backing buffer) is owned by the caller.
 //
@@ -412,12 +459,35 @@ func readTCPFrame(r io.Reader) (byte, []byte, error) {
 	if n == 0 || n > maxTCPFrame {
 		return 0, nil, fmt.Errorf("core: bad tcp frame length %d", n)
 	}
-	buf := bufpool.Get(int(n))[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		bufpool.Put(buf)
+	buf, err := readPayload(r, int(n))
+	if err != nil {
 		return 0, nil, err
 	}
 	return buf[0], buf[1:], nil
+}
+
+// readPayload reads an n-byte frame payload into a pooled buffer the
+// caller owns. The buffer starts at min(n, bufpool.MaxPooled) and grows
+// only as bytes arrive, so a declared length alone — up to maxTCPFrame —
+// cannot make the reader allocate that much.
+//
+//soaplint:hotpath
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := bufpool.Get(min(n, bufpool.MaxPooled))
+	for {
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			bufpool.Put(buf)
+			return nil, err
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		grown := append(bufpool.Get(min(2*cap(buf), n)), buf...)
+		bufpool.Put(buf)
+		buf = grown
+	}
 }
 
 // ProbeTCP performs one active health-check round trip against a
@@ -455,7 +525,8 @@ func ProbeTCP(ctx context.Context, addr string) error {
 			<-watchDone
 		}()
 	}
-	if err := writeTCPRequest(conn, tcpWireXML, "", nil); err != nil {
+	fw := frameWriter{conn: conn, request: true}
+	if err := fw.writeFrame(0, tcpWireXML, "", nil); err != nil {
 		return fmt.Errorf("core: probe write: %w", err)
 	}
 	_, body, err := readTCPFrame(conn)

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,6 +44,23 @@ import (
 // TCPListener sniffs the first four bytes of each connection and serves
 // whichever protocol the client speaks.
 //
+// Syscall budget: on a *net.TCPConn each side sends a frame with one
+// writev of header and body (frameWriter) and receives it with at most
+// one read through a per-connection 16 KiB bufio.Reader — a body larger
+// than the buffer is read straight into its pooled payload. On a wrapped
+// conn (fault injection, netem) the writev falls back to one Write per
+// slice, header first, which keeps injected faults where they always
+// landed. The client sets a write deadline only when it differs from the
+// one already on the connection.
+//
+// Server workers: each served connection keeps up to GOMAXPROCS
+// long-lived workers, started on demand and fed by an unbuffered
+// channel, so a request does not pay for a fresh goroutine and its stack
+// growth. A request arriving while every worker is busy gets a one-shot
+// goroutine, so requests still never wait behind one another and the
+// goroutine count is bounded by in-flight requests, as before. Workers
+// exit when the connection's read loop ends.
+//
 // Cancellation abandons, never corrupts: a caller whose context ends
 // deregisters its correlation ID and returns immediately; the response,
 // whenever it arrives, is read fully (keeping the stream framed) and
@@ -78,7 +96,8 @@ type muxReply struct {
 type muxConn struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes whole-frame writes
+	wmu sync.Mutex  // serializes whole-frame writes
+	w   frameWriter // guarded by wmu
 
 	mu      sync.Mutex
 	pending map[uint64]chan muxReply
@@ -105,18 +124,27 @@ func dialMux(ctx context.Context, addr string) (*muxConn, error) {
 	}
 	conn.SetWriteDeadline(time.Time{})
 	tcpDials.Inc()
-	muxConns.Add(1)
-	m := &muxConn{conn: conn, pending: make(map[uint64]chan muxReply)}
+	m := newMuxConn(conn)
 	go m.readLoop()
 	return m, nil
+}
+
+// newMuxConn wraps a connection that has completed the handshake; the
+// caller starts its readLoop.
+func newMuxConn(conn net.Conn) *muxConn {
+	muxConns.Add(1)
+	m := &muxConn{conn: conn, pending: make(map[uint64]chan muxReply)}
+	m.w = frameWriter{conn: conn, mux: true, request: true}
+	return m
 }
 
 // readLoop dispatches response frames by correlation ID until the
 // connection dies. Responses for abandoned IDs are dropped whole, which
 // is what keeps cancellation from corrupting the stream.
 func (m *muxConn) readLoop() {
+	r := bufio.NewReaderSize(m.conn, frameReadBuf)
 	for {
-		id, code, body, err := readMuxFrame(m.conn, muxRespHdr)
+		id, code, body, err := readMuxFrame(r, muxRespHdr)
 		if err != nil {
 			m.fail(err)
 			return
@@ -181,7 +209,16 @@ func (m *muxConn) call(ctx context.Context, code byte, action string, body []byt
 		muxInflight.Add(-1)
 	}()
 
-	if err := m.writeRequest(ctx, id, code, action, body); err != nil {
+	// A caller deadline becomes the write deadline so a stalled peer
+	// cannot hold the write lock past the caller's budget.
+	deadline, _ := ctx.Deadline()
+	m.wmu.Lock()
+	err := m.w.setDeadline(deadline)
+	if err == nil {
+		err = m.w.writeFrame(id, code, action, body)
+	}
+	m.wmu.Unlock()
+	if err != nil {
 		// A partial frame corrupts the outbound stream for everyone:
 		// fail the whole connection, not just this call.
 		m.fail(err)
@@ -219,45 +256,12 @@ func (m *muxConn) forget(id uint64) {
 	}
 }
 
-// writeRequest frames and writes one request under the write lock. A
-// caller deadline becomes the write deadline so a stalled peer cannot
-// hold the lock past the caller's budget.
-func (m *muxConn) writeRequest(ctx context.Context, id uint64, code byte, action string, body []byte) error {
-	if len(action) > 0xFFFF {
-		return errors.New("core: action too long")
-	}
-	n := muxReqFixed + len(action) + len(body)
-	if n > maxTCPFrame {
-		return fmt.Errorf("core: request exceeds %d byte frame limit", maxTCPFrame)
-	}
-	hdr := bufpool.Get(4 + muxReqFixed + len(action))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
-	hdr = binary.BigEndian.AppendUint64(hdr, id)
-	hdr = append(hdr, code)
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(action)))
-	hdr = append(hdr, action...)
-
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	defer bufpool.Put(hdr)
-	if deadline, ok := ctx.Deadline(); ok {
-		m.conn.SetWriteDeadline(deadline)
-	} else {
-		m.conn.SetWriteDeadline(time.Time{})
-	}
-	if _, err := m.conn.Write(hdr); err != nil {
-		return err
-	}
-	_, err := m.conn.Write(body)
-	return err
-}
-
 // readMuxFrame reads one correlated frame: length, id, wire code, and
 // the remaining payload (in a pooled buffer the caller owns). minHdr is
 // the smallest legal frame for the direction being read.
-func readMuxFrame(r io.Reader, minHdr int) (id uint64, code byte, payload []byte, err error) {
-	var hdr [4 + muxRespHdr]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func readMuxFrame(r *bufio.Reader, minHdr int) (id uint64, code byte, payload []byte, err error) {
+	hdr, err := r.Peek(4 + muxRespHdr)
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:4]))
@@ -266,41 +270,57 @@ func readMuxFrame(r io.Reader, minHdr int) (id uint64, code byte, payload []byte
 	}
 	id = binary.BigEndian.Uint64(hdr[4:12])
 	code = hdr[12]
-	rest := n - muxRespHdr
-	payload = bufpool.Get(rest)[:rest]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		bufpool.Put(payload)
+	r.Discard(len(hdr)) // cannot fail: Peek buffered these bytes
+	payload, err = readPayload(r, n-muxRespHdr)
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	return id, code, payload, nil
 }
 
-// writeMuxResponse frames and writes one server response.
-func writeMuxResponse(w io.Writer, id uint64, code byte, body []byte) error {
-	n := muxRespHdr + len(body)
-	if n > maxTCPFrame {
-		return fmt.Errorf("core: response exceeds %d byte frame limit", maxTCPFrame)
-	}
-	var hdr [4 + muxRespHdr]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = code
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+// muxRequest is one parsed request frame awaiting a worker. body and
+// action alias payload, the pooled frame buffer the worker releases.
+type muxRequest struct {
+	id      uint64
+	ct      string
+	action  string
+	body    []byte
+	payload []byte
 }
 
 // serveMux handles one multiplexed connection server-side: requests are
-// dispatched concurrently (that is the pipelining), responses serialize
-// on a write lock. The connection's lifetime bounds its handlers.
+// dispatched concurrently (that is the pipelining) to the connection's
+// workers, responses serialize on a write lock. The connection's
+// lifetime bounds its handlers.
 func (l *TCPListener) serveMux(conn net.Conn) {
+	r := bufio.NewReaderSize(conn, frameReadBuf)
 	var wmu sync.Mutex
+	w := frameWriter{conn: conn, mux: true}
+	serve := func(req muxRequest) {
+		respCT, respBody := l.proc.Process(l.ctx, req.ct, req.action, req.body)
+		bufpool.Put(req.payload) // body's backing buffer; Process is done with it
+		respCode, err := wireToCode(respCT)
+		if err != nil {
+			return
+		}
+		wmu.Lock()
+		err = w.writeFrame(req.id, respCode, "", respBody)
+		wmu.Unlock()
+		bufpool.Put(respBody) // Process output is always a fresh or pooled buffer
+		if err != nil {
+			conn.Close() // partial response frame: stream corrupt
+		}
+	}
+
+	work := make(chan muxRequest)  // unbuffered: a send succeeds only to an idle worker
+	spare := runtime.GOMAXPROCS(0) // workers not yet started
 	var wg sync.WaitGroup
-	defer wg.Wait()
+	defer func() {
+		close(work)
+		wg.Wait()
+	}()
 	for {
-		id, code, payload, err := readMuxFrame(conn, muxReqFixed)
+		id, code, payload, err := readMuxFrame(r, muxReqFixed)
 		if err != nil {
 			return
 		}
@@ -313,30 +333,35 @@ func (l *TCPListener) serveMux(conn net.Conn) {
 			bufpool.Put(payload)
 			return
 		}
-		action := string(payload[2 : 2+alen])
-		body := payload[2+alen:]
 		ct, err := codeToWire(code)
 		if err != nil {
 			bufpool.Put(payload)
 			return
 		}
+		req := muxRequest{id: id, ct: ct, action: string(payload[2 : 2+alen]), body: payload[2+alen:], payload: payload}
+		select {
+		case work <- req:
+			continue
+		default:
+		}
+		// Every started worker is busy: start another while under the
+		// bound, else run this request on a one-shot goroutine.
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			respCT, respBody := l.proc.Process(l.ctx, ct, action, body)
-			bufpool.Put(payload) // body's backing buffer; Process is done with it
-			respCode, err := wireToCode(respCT)
-			if err != nil {
-				return
-			}
-			wmu.Lock()
-			err = writeMuxResponse(conn, id, respCode, respBody)
-			wmu.Unlock()
-			bufpool.Put(respBody) // Process output is always a fresh or pooled buffer
-			if err != nil {
-				conn.Close() // partial response frame: stream corrupt
-			}
-		}()
+		if spare > 0 {
+			spare--
+			go func() {
+				defer wg.Done()
+				serve(req)
+				for req := range work {
+					serve(req)
+				}
+			}()
+		} else {
+			go func() {
+				defer wg.Done()
+				serve(req)
+			}()
+		}
 	}
 }
 

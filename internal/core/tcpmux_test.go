@@ -1,12 +1,21 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
+	"soapbinq/internal/bufpool"
 	"soapbinq/internal/idl"
 	"soapbinq/internal/pbio"
 	"soapbinq/internal/soap"
@@ -372,5 +381,168 @@ func TestTCPPoolDrainDeadline(t *testing.T) {
 	}
 	if err := <-inFlight; err == nil {
 		t.Fatal("call stuck past drain deadline returned success")
+	}
+}
+
+// echoProc is a Processor that answers every request with a copy of its
+// body, so transport tests see the exact frame bodies they sent.
+type echoProc struct{}
+
+func (echoProc) Process(_ context.Context, ct, _ string, body []byte) (string, []byte) {
+	return ct, append(bufpool.Get(len(body)), body...)
+}
+
+// barrierProc holds every request until n of them are in Process at
+// once, or the request's context ends.
+type barrierProc struct {
+	n       int64
+	arrived atomic.Int64
+	all     chan struct{}
+}
+
+func (p *barrierProc) Process(ctx context.Context, ct, _ string, body []byte) (string, []byte) {
+	if p.arrived.Add(1) == p.n {
+		close(p.all)
+	}
+	select {
+	case <-p.all:
+	case <-ctx.Done():
+	}
+	return ct, append(bufpool.Get(len(body)), body...)
+}
+
+// TestTCPPoolNoHeadOfLineBlocking puts 4×GOMAXPROCS calls on one mux
+// connection whose handlers only return once all of them are running:
+// the server's fixed workers must not make any request wait behind
+// another, or the barrier never opens.
+func TestTCPPoolNoHeadOfLineBlocking(t *testing.T) {
+	n := 4 * runtime.GOMAXPROCS(0)
+	proc := &barrierProc{n: int64(n), all: make(chan struct{})}
+	ln, err := ServeTCP(proc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	pool := NewTCPPoolTransport(ln.Addr(), 1)
+	defer pool.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, err := pool.RoundTrip(ctx, &WireRequest{ContentType: ContentTypeBinary, Body: []byte{byte(i)}})
+			if err == nil && !bytes.Equal(resp.Body, []byte{byte(i)}) {
+				err = fmt.Errorf("call %d: response routed to wrong caller", i)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("%v (%d of %d handlers reached the barrier)", err, proc.arrived.Load(), n)
+		}
+	}
+}
+
+// TestTCPFrameSizesRoundTrip sends bodies on both sides of the 16 KiB
+// read buffer and across a large read: pipelined on one mux connection,
+// every caller must get its own body back byte for byte; the legacy
+// protocol, through the same buffered reader, must do the same.
+func TestTCPFrameSizesRoundTrip(t *testing.T) {
+	sizes := []int{1, frameReadBuf - 1, frameReadBuf, frameReadBuf + 1, 1 << 20}
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, 2*len(sizes))
+	for i := range bodies {
+		bodies[i] = make([]byte, sizes[i%len(sizes)])
+		rng.Read(bodies[i])
+	}
+	ln, err := ServeTCP(echoProc{}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	t.Run("mux", func(t *testing.T) {
+		pool := NewTCPPoolTransport(ln.Addr(), 1)
+		defer pool.Close()
+		for round := 0; round < 3; round++ {
+			var wg sync.WaitGroup
+			for i, body := range bodies {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := pool.RoundTrip(context.Background(), &WireRequest{ContentType: ContentTypeBinary, Body: body})
+					if err != nil {
+						t.Errorf("body %d (%d B): %v", i, len(body), err)
+						return
+					}
+					if !bytes.Equal(resp.Body, body) {
+						t.Errorf("body %d (%d B): got a different %d B response", i, len(body), len(resp.Body))
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	})
+	t.Run("legacy", func(t *testing.T) {
+		tr := NewTCPTransport(ln.Addr())
+		defer tr.Close()
+		for i, body := range bodies {
+			resp, err := tr.RoundTrip(context.Background(), &WireRequest{ContentType: ContentTypeBinary, Body: body})
+			if err != nil {
+				t.Fatalf("body %d (%d B): %v", i, len(body), err)
+			}
+			if !bytes.Equal(resp.Body, body) {
+				t.Fatalf("body %d (%d B): got a different %d B response", i, len(body), len(resp.Body))
+			}
+		}
+	})
+}
+
+// TestFrameAllocationBoundedByBytesReceived sends a header declaring a
+// 200 MiB frame and then ends the stream: the readers must fail without
+// allocating anything near the declared size. A frame larger than the
+// largest pooled buffer must still read back intact as it grows.
+func TestFrameAllocationBoundedByBytesReceived(t *testing.T) {
+	const declared = 200 << 20
+	muxHdr := binary.BigEndian.AppendUint32(nil, declared)
+	muxHdr = binary.BigEndian.AppendUint64(muxHdr, 7)
+	muxHdr = append(muxHdr, tcpWireBinary)
+	legacyHdr := append(binary.BigEndian.AppendUint32(nil, declared), tcpWireBinary)
+	readers := map[string]func([]byte) error{
+		"mux": func(stream []byte) error {
+			_, _, _, err := readMuxFrame(bufio.NewReader(bytes.NewReader(stream)), muxRespHdr)
+			return err
+		},
+		"legacy": func(stream []byte) error {
+			_, _, err := readTCPFrame(bytes.NewReader(stream))
+			return err
+		},
+	}
+	for name, read := range readers {
+		hdr := legacyHdr
+		if name == "mux" {
+			hdr = muxHdr
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read(hdr)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: truncated %d B frame read without error", name, declared)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+			t.Errorf("%s: header declaring %d B allocated %d B", name, declared, alloc)
+		}
+	}
+
+	body := make([]byte, 2*bufpool.MaxPooled+3)
+	rand.New(rand.NewSource(2)).Read(body)
+	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(body)+1)), tcpWireBinary)
+	frame = append(frame, body...)
+	code, got, err := readTCPFrame(iotest.HalfReader(bytes.NewReader(frame)))
+	if err != nil || code != tcpWireBinary || !bytes.Equal(got, body) {
+		t.Fatalf("%d B frame: code %d, %d B, err %v", len(body), code, len(got), err)
 	}
 }
